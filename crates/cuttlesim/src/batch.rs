@@ -6,11 +6,14 @@
 //! log-bookkeeping cost for each. [`BatchSim`] amortizes those costs by
 //! running `lanes` instances in lock-step over structure-of-arrays register
 //! state: every flat array of the scalar [`State`](crate::vm) becomes
-//! `reg[r * lanes + lane]`, and the interpreter executes each bytecode op
-//! once *across the whole batch*. Rule scheduling, instruction dispatch, and
-//! the optimization ladder's log-maintenance memcpys (prologue copies,
-//! commit plans, rollbacks) all become single strided or contiguous
-//! operations over the batch.
+//! `reg[r * lanes + lane]`. The design's register-form micro-op program
+//! ([`crate::tac`]) is lowered once, when the batch is built, and the
+//! lock-step interpreter executes each micro-op once *across the whole
+//! batch* under every interpreted [`Dispatch`]; [`Dispatch::Native`] runs
+//! compiled lane loops generated from that same lowering. Rule scheduling,
+//! instruction dispatch, and the optimization ladder's log-maintenance
+//! memcpys (prologue copies, commit plans, rollbacks) all become single
+//! strided or contiguous operations over the batch.
 //!
 //! # Divergence fallback
 //!
@@ -19,8 +22,8 @@
 //! jump — the batch tests all lanes:
 //!
 //! * **all lanes agree** → one batched step (the fast path);
-//! * **all lanes fail** a check → one batched rule failure, with per-lane
-//!   [`FailInfo`] recorded exactly as the scalar VM would;
+//! * **all lanes fail** a check → one batched rule failure, with the
+//!   [`FailInfo`] every lane's scalar VM would record;
 //! * **lanes disagree** → the rule *diverges*: the engine restores the
 //!   batch to its state at rule entry (a snapshot taken after the rule
 //!   prologue, which is idempotent at every level) and re-runs the rule
@@ -59,7 +62,7 @@ use crate::compile::{compile, CompileError, CompileOptions, CopyPlan, Program};
 use crate::insn::Insn;
 use crate::simd;
 use crate::simd::lane_mask;
-use crate::tac::{TacRule, Uop};
+use crate::tac::{TacProgram, TacRule, Uop};
 use crate::vm::{step_rule_impl, Dispatch, FailInfo, State, VmError};
 use koika::bits::word;
 use koika::device::{BatchBackend, RegAccess};
@@ -69,18 +72,6 @@ const R0: u8 = 0b0001;
 const R1: u8 = 0b0010;
 const W0: u8 = 0b0100;
 const W1: u8 = 0b1000;
-
-/// Why a batched instruction stopped the lock-step loop.
-enum BatchFlow {
-    Next,
-    Jump(u32),
-    /// Every lane failed the same check: one batched rule failure.
-    FailAll { clean: bool },
-    Done,
-    /// Lanes disagreed on control flow: fall back to per-lane execution.
-    Diverge,
-    Trap(&'static str),
-}
 
 /// Per-rule facts precomputed at construction: which flat register indices
 /// the rule can write (bounding the data snapshot needed for divergence
@@ -169,11 +160,9 @@ pub struct BatchSim {
     cyc_d1: Vec<u64>,
     log_d0: Vec<u64>,
     log_d1: Vec<u64>,
-    /// Operand stack, slot-major: slot `s` occupies
-    /// `[s * lanes, (s + 1) * lanes)`. Grows on demand, never shrinks.
-    stack: Vec<u64>,
-    /// Local-variable slots, slot-major.
-    locals: Vec<u64>,
+    /// One scratch stripe (`lanes` words) for superinstruction
+    /// intermediates.
+    tmp: Vec<u64>,
     /// Coverage counters, id-major.
     cov: Vec<u64>,
     cycles: u64,
@@ -193,9 +182,10 @@ pub struct BatchSim {
     fired_base: u64,
     fired_per_rule_base: Vec<u64>,
     fail_per_rule_base: Vec<u64>,
-    /// Most recent lock-step failure (identical for every lane). Shadows
-    /// the per-lane `last_fail` entries until a divergence (or a dispatch
-    /// switch) materializes it into them.
+    /// Most recent lock-step failure (identical for every lane), recorded
+    /// by every dispatch. Shadows the per-lane `last_fail` entries until a
+    /// divergence materializes it into them; an indexed-access failure,
+    /// which differs per lane, clears it and writes the entries directly.
     last_fail_uniform: Option<FailInfo>,
     /// This cycle's commits while every lane still agrees; the first
     /// divergence of the cycle copies it into the per-lane vectors and
@@ -208,8 +198,8 @@ pub struct BatchSim {
     /// scalar rule executor.
     scratch: State,
     // Rule-entry snapshot buffers (post-prologue). Only the rw byte plane
-    // and coverage counters are ever saved — data stripes and locals are
-    // recoverable without a snapshot (see `step_rule_batch_inner`).
+    // and coverage counters are ever saved — data stripes and slot files
+    // are recoverable without a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
     snap_cov: Vec<u64>,
     // Lock-step effectiveness counters.
@@ -217,25 +207,24 @@ pub struct BatchSim {
     fallback_rules: u64,
     // Dispatch selection (mirrors the scalar VM's).
     dispatch: Dispatch,
-    /// Micro-op programs for `Dispatch::Tac` (built by `set_dispatch`).
-    tac: Option<crate::tac::TacProgram>,
+    /// The micro-op programs every lock-step path runs, lowered once at
+    /// construction.
+    tac: TacProgram,
     /// Per-rule SoA slot files, slot-major (`slot * lanes + lane`), with
-    /// constant slots pre-broadcast across all lanes.
-    tac_slots: Vec<Vec<u64>>,
+    /// constant slots pre-broadcast across all lanes. Shared by the
+    /// micro-op interpreter and the batched native entry points, whose
+    /// generated lane loops index them the same way.
+    slots: Vec<Vec<u64>>,
     /// Loaded native engine for `Dispatch::Native` (built by
     /// `set_dispatch`; shared with scalar sims via the process-wide cache).
     native: Option<std::sync::Arc<crate::native::NativeEngine>>,
-    /// Per-rule SoA slot files for the batched native entry points — the
-    /// same layout and lifecycle as `tac_slots` (the generated lane loops
-    /// index `slot * lanes + lane` exactly like the micro-op interpreter).
-    native_slots: Vec<Vec<u64>>,
 }
 
 /// Builds one SoA slot file per rule (`slot * lanes + lane`), constant
 /// slots pre-broadcast across all lanes. Non-constant slots start at zero
 /// and are def-before-use by construction, so the files can persist across
-/// rules and cycles untouched.
-fn soa_slot_files(tac: &crate::tac::TacProgram, lanes: usize) -> Vec<Vec<u64>> {
+/// rules, cycles and dispatch switches untouched.
+fn soa_slot_files(tac: &TacProgram, lanes: usize) -> Vec<Vec<u64>> {
     tac.rules
         .iter()
         .map(|r| {
@@ -285,7 +274,6 @@ impl BatchSim {
         assert!(lanes >= 1, "a batch needs at least one lane");
         let n = prog.init.len();
         let cfg = prog.cfg;
-        let max_locals = prog.rules.iter().fold(0, |m, r| m.max(r.nlocals as usize));
         let nrules = prog.rules.len();
         let mut init_soa = vec![0u64; n * lanes];
         for r in 0..n {
@@ -294,6 +282,8 @@ impl BatchSim {
         let scratch = State::for_program(&prog);
         let rule_meta = rule_metas(&prog);
         let ncov = prog.cov.len();
+        let tac = TacProgram::lower(&prog);
+        let slots = soa_slot_files(&tac, lanes);
         BatchSim {
             lanes,
             boc: if cfg.no_boc {
@@ -311,8 +301,7 @@ impl BatchSim {
             },
             log_d0: init_soa.clone(),
             log_d1: if cfg.merged_data { Vec::new() } else { init_soa },
-            stack: Vec::new(),
-            locals: vec![0; max_locals * lanes],
+            tmp: vec![0; lanes],
             cov: vec![0; ncov * lanes],
             cycles: 0,
             fired: vec![0; lanes],
@@ -333,21 +322,20 @@ impl BatchSim {
             lockstep_rules: 0,
             fallback_rules: 0,
             dispatch: Dispatch::default(),
-            tac: None,
-            tac_slots: Vec::new(),
+            tac,
+            slots,
             native: None,
-            native_slots: Vec::new(),
             prog,
         }
     }
 
     /// Selects the instruction-dispatch strategy for the lock-step engine.
     ///
-    /// [`Dispatch::Tac`] runs rules through their register-form micro-op
-    /// programs, decoding each micro-op once per cycle for all lanes.
-    /// [`Dispatch::Closure`] has no batched analogue (closures are built
-    /// around the scalar state), so it selects the same lock-step bytecode
-    /// interpreter as [`Dispatch::Match`]. [`Dispatch::Native`] runs each
+    /// The interpreted dispatches ([`Dispatch::Match`], [`Dispatch::Closure`]
+    /// and [`Dispatch::Tac`]) all run the one lock-step micro-op
+    /// interpreter, decoding each micro-op once per cycle for all lanes
+    /// (match and closure dispatch are strategies of the *scalar* bytecode
+    /// VM and have no separate batched form). [`Dispatch::Native`] runs each
     /// rule through its compiled batched entry point: straight-line lane
     /// loops with no interpreter dispatch at all — the fastest lock-step
     /// path. On divergence the native dispatch re-runs lanes through the
@@ -374,29 +362,14 @@ impl BatchSim {
     /// [`crate::NativeError`] when the native engine cannot be emitted,
     /// built, or loaded. The previous dispatch stays selected.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
-        if dispatch != self.dispatch {
-            // The interpreted dispatches record per-lane failure info
-            // directly, so a pending lock-step uniform from the native arm
-            // must be materialized before it could be shadowed by stale
-            // per-lane entries.
-            if let Some(fi) = self.last_fail_uniform.take() {
-                self.last_fail.fill(Some(fi));
-            }
-        }
         if dispatch == Dispatch::Native && self.native.is_none() {
-            self.native = Some(crate::native::build_engine_batched(&self.prog, self.lanes)?);
-            // The generated lane loops run over the same slot-file shape
-            // the micro-op interpreter uses (lowering is deterministic, so
-            // this matches what the engine was emitted against).
-            let tac = crate::tac::TacProgram::lower(&self.prog);
-            self.native_slots = soa_slot_files(&tac, self.lanes);
+            self.native = Some(crate::native::build_engine_batched(
+                &self.prog,
+                &self.tac,
+                self.lanes,
+            )?);
         }
         self.dispatch = dispatch;
-        if dispatch == Dispatch::Tac && self.tac.is_none() {
-            let tac = crate::tac::TacProgram::lower(&self.prog);
-            self.tac_slots = soa_slot_files(&tac, self.lanes);
-            self.tac = Some(tac);
-        }
         Ok(())
     }
 
@@ -602,13 +575,10 @@ impl BatchSim {
         // `log_d0/log_d1 == cyc_d0/cyc_d1` at every rule boundary (commits
         // copy log → cyc on the footprint, unclean failures roll back
         // cyc → log, clean failures touch no data), so the divergence path
-        // restores from `cyc_*` directly. Locals are not snapshotted either:
-        // every `Local` read is dominated by a `SetLocal` from the same
-        // invocation (Kôika `let` scoping compiles the binding's store
-        // before any use, including across `Jz` joins), so values clobbered
-        // by an aborted lock-step run are never observed by the scalar
-        // re-run — the same def-before-use argument that lets `tac_slots`
-        // skip restoration.
+        // restores from `cyc_*` directly. Slot files are not snapshotted
+        // either: the scalar re-run never reads them, and every slot is
+        // defined before it is used within one invocation, so values an
+        // aborted lock-step run leaves behind are never observed.
         if cfg.reset_on_fail {
             for &r in &meta.touched {
                 let s = r as usize * lanes;
@@ -620,8 +590,8 @@ impl BatchSim {
             self.snap_cov[s..s + lanes].copy_from_slice(&self.cov[s..s + lanes]);
         }
 
-        // Lock-step execution: compiled-native, micro-op, or bytecode form,
-        // per dispatch.
+        // Lock-step execution: compiled-native lane loops under native
+        // dispatch, the micro-op interpreter under every other.
         let outcome = if self.dispatch == Dispatch::Native {
             // The compiled batched entry point: straight-line lane loops,
             // no interpreter dispatch. It returns the scalar outcome
@@ -634,7 +604,6 @@ impl BatchSim {
                 .as_ref()
                 .expect("set_dispatch built the native engine")
                 .batch_fn(rule_idx);
-            let mut slots = std::mem::take(&mut self.native_slots[rule_idx]);
             let mut ctx = crate::native::NativeBatchCtx {
                 boc: self.boc.as_mut_ptr(),
                 cyc_rw: self.cyc_rw.as_mut_ptr(),
@@ -644,7 +613,7 @@ impl BatchSim {
                 log_d0: self.log_d0.as_mut_ptr(),
                 log_d1: self.log_d1.as_mut_ptr(),
                 cov: self.cov.as_mut_ptr(),
-                slots: slots.as_mut_ptr(),
+                slots: self.slots[rule_idx].as_mut_ptr(),
                 lanes,
                 fail_reg: 0,
                 pad: 0,
@@ -656,7 +625,6 @@ impl BatchSim {
             // engine was built for exactly `self.lanes` lanes.
             let ret = crate::native::run_rule_batch_native(f, &mut ctx);
             let fail_reg = ctx.fail_reg;
-            self.native_slots[rule_idx] = slots;
             let code = ret & 0xff;
             let payload = (ret >> 8) as usize;
             let cycle = self.cycles;
@@ -701,33 +669,8 @@ impl BatchSim {
                     })
                 }
             }
-        } else if self.dispatch == Dispatch::Tac {
-            let tac = self.tac.take().expect("set_dispatch prepared the micro-op programs");
-            let mut slots = std::mem::take(&mut self.tac_slots[rule_idx]);
-            let out = self.run_uops_batch(&tac.rules[rule_idx], &mut slots, rule_idx);
-            self.tac_slots[rule_idx] = slots;
-            self.tac = Some(tac);
-            out?
         } else {
-            let mut pc = 0usize;
-            let mut sp = 0usize;
-            loop {
-                let insn = self.prog.rules[rule_idx].code[pc];
-                match self.exec_batch_insn(insn, &mut sp, rule_idx, pc) {
-                    BatchFlow::Next => pc += 1,
-                    BatchFlow::Jump(t) => pc = t as usize,
-                    BatchFlow::FailAll { clean } => break Some(Err(clean)),
-                    BatchFlow::Done => break Some(Ok(())),
-                    BatchFlow::Diverge => break None,
-                    BatchFlow::Trap(what) => {
-                        return Err(VmError::CompilerBug {
-                            rule: rule_idx,
-                            pc,
-                            what,
-                        })
-                    }
-                }
-            }
+            self.run_uops_batch(rule_idx)?
         };
 
         match outcome {
@@ -820,9 +763,9 @@ impl BatchSim {
                 Ok(())
             }
             Some(Err(clean)) => {
-                // Batched failure: every lane failed the same check.
-                // `exec_batch_insn` already recorded per-lane FailInfo
-                // (the native arm set the lock-step uniform instead).
+                // Batched failure: every lane failed the same check, and
+                // the lock-step arm already recorded its FailInfo (in
+                // `last_fail_uniform`, or per lane for an indexed access).
                 self.lockstep_rules += 1;
                 self.fail_per_rule_base[rule_idx] += 1;
                 if cfg.reset_on_fail && !clean && !kernel_merged {
@@ -959,7 +902,6 @@ impl BatchSim {
             cyc_d1,
             log_d0,
             log_d1,
-            locals,
             cov,
             scratch,
             last_fail,
@@ -986,8 +928,10 @@ impl BatchSim {
         gather!(scratch.cyc_d1, cyc_d1);
         gather!(scratch.log_d0, log_d0);
         gather!(scratch.log_d1, log_d1);
-        gather!(scratch.locals, locals);
         gather!(scratch.cov, cov);
+        // `scratch.locals` needs no gather: every `Local` read is dominated
+        // by a `SetLocal` of the same invocation (Kôika `let` scoping
+        // stores the binding before any use, including across `Jz` joins).
         scratch.stack.clear();
         scratch.cycles = *cycles;
         scratch.last_fail = last_fail[l];
@@ -1005,7 +949,6 @@ impl BatchSim {
                 cyc_d1,
                 log_d0,
                 log_d1,
-                locals,
                 cov,
                 scratch,
                 last_fail,
@@ -1028,7 +971,6 @@ impl BatchSim {
             scatter!(scratch.cyc_d1, cyc_d1);
             scatter!(scratch.log_d0, log_d0);
             scatter!(scratch.log_d1, log_d1);
-            scatter!(scratch.locals, locals);
             scatter!(scratch.cov, cov);
             last_fail[l] = scratch.last_fail;
         }
@@ -1041,638 +983,22 @@ impl BatchSim {
         }
     }
 
-    /// Executes one instruction across every lane. Returns `Diverge` the
-    /// moment lanes disagree on control flow, leaving batch state to be
-    /// discarded by the caller's rule-entry restore.
-    #[allow(clippy::too_many_lines)]
-    #[inline(always)]
-    fn exec_batch_insn(
-        &mut self,
-        insn: Insn,
-        sp: &mut usize,
-        rule_idx: usize,
-        pc: usize,
-    ) -> BatchFlow {
-        let cfg = self.prog.cfg;
-        let cycle = self.cycles;
-        let BatchSim {
-            lanes,
-            stack,
-            boc,
-            cyc_rw,
-            log_rw,
-            cyc_d0,
-            log_d0,
-            log_d1,
-            locals,
-            cov,
-            last_fail,
-            ..
-        } = self;
-        let lanes = *lanes;
-
-        // Ensures the stack can hold one more stripe.
-        macro_rules! grow {
-            () => {
-                if stack.len() < (*sp + 1) * lanes {
-                    stack.resize((*sp + 1) * lanes, 0);
-                }
-            };
-        }
-        macro_rules! need {
-            ($k:expr) => {
-                if *sp < $k {
-                    return BatchFlow::Trap("operand stack underflow");
-                }
-            };
-        }
-        // The top two stripes as exact (dst, src) subslices — adjacent on
-        // the stack, so one `split_at_mut` yields both without overlap.
-        macro_rules! top2 {
-            () => {{
-                need!(2);
-                let base = (*sp - 2) * lanes;
-                stack[base..base + 2 * lanes].split_at_mut(lanes)
-            }};
-        }
-        // Binary op over the top two stripes via the chunked SIMD kernels;
-        // result replaces the lower stripe.
-        macro_rules! vbin {
-            (|$a:ident, $b:ident| $body:expr) => {{
-                let (d, s) = top2!();
-                simd::zip2(d, s, |$a, $b| $body);
-                *sp -= 1;
-                BatchFlow::Next
-            }};
-        }
-        // Binary op through a dedicated width-hoisted kernel.
-        macro_rules! vbin_kern {
-            ($kern:expr) => {{
-                let (d, s) = top2!();
-                $kern(d, s);
-                *sp -= 1;
-                BatchFlow::Next
-            }};
-        }
-        // Unary op over the top stripe, in place, chunked.
-        macro_rules! vun {
-            (|$a:ident| $body:expr) => {{
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::map1(&mut stack[base..base + lanes], |$a| $body);
-                BatchFlow::Next
-            }};
-        }
-
-        match insn {
-            Insn::Const(v) => {
-                grow!();
-                stack[*sp * lanes..(*sp + 1) * lanes].fill(v);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Local(s) => {
-                grow!();
-                let (src, dst) = (s as usize * lanes, *sp * lanes);
-                stack[dst..dst + lanes].copy_from_slice(&locals[src..src + lanes]);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::SetLocal(s) => {
-                need!(1);
-                let (src, dst) = ((*sp - 1) * lanes, s as usize * lanes);
-                locals[dst..dst + lanes].copy_from_slice(&stack[src..src + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Add { mask } => vbin!(|a, b| a.wrapping_add(b) & mask),
-            Insn::Sub { mask } => vbin!(|a, b| a.wrapping_sub(b) & mask),
-            Insn::Mul { mask } => vbin!(|a, b| a.wrapping_mul(b) & mask),
-            Insn::And => vbin!(|a, b| a & b),
-            Insn::Or => vbin!(|a, b| a | b),
-            Insn::Xor => vbin!(|a, b| a ^ b),
-            Insn::Shl { mask } => vbin!(|a, b| simd::shl64(a, b, mask)),
-            Insn::Shr => vbin!(|a, b| simd::shr64(a, b)),
-            Insn::Sra { width } => vbin_kern!(|d, s| simd::sra_zip2(d, s, width)),
-            Insn::Eq => vbin!(|a, b| (a == b) as u64),
-            Insn::Ne => vbin!(|a, b| (a != b) as u64),
-            Insn::Ult => vbin!(|a, b| (a < b) as u64),
-            Insn::Ule => vbin!(|a, b| (a <= b) as u64),
-            Insn::Slt { width } => vbin_kern!(|d, s| simd::slt_zip2(d, s, width)),
-            Insn::Sle { width } => vbin_kern!(|d, s| simd::sle_zip2(d, s, width)),
-            Insn::ConcatShift { low_width, mask } => {
-                vbin_kern!(|d, s| simd::concat_zip2(d, s, low_width, mask))
-            }
-            Insn::Not { mask } => vun!(|a| !a & mask),
-            Insn::Neg { mask } => vun!(|a| a.wrapping_neg() & mask),
-            Insn::Mask { mask } => vun!(|a| a & mask),
-            Insn::Sext { from, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::sext_map1(&mut stack[base..base + lanes], from, mask);
-                BatchFlow::Next
-            }
-            Insn::Slice { lo, mask } => vun!(|a| (a >> lo) & mask),
-            Insn::SliceSext { lo, from, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::slice_sext_map1(&mut stack[base..base + lanes], lo, from, mask);
-                BatchFlow::Next
-            }
-            Insn::Select => {
-                // Pure data selection: no divergence regardless of lanes'
-                // conditions — a branchless mask blend.
-                need!(3);
-                let cbase = (*sp - 3) * lanes;
-                let (c, tf) = stack[cbase..cbase + 3 * lanes].split_at_mut(lanes);
-                let (t, f) = tf.split_at(lanes);
-                simd::select(c, t, f);
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Rd0 { reg, clean } => {
-                let s = reg as usize * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W0 | W1);
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                grow!();
-                let dst = *sp * lanes;
-                if !cfg.design_specific {
-                    simd::or_bytes(&mut log_rw[s..s + lanes], R0);
-                }
-                let src = if cfg.no_boc {
-                    &log_d0[s..s + lanes]
-                } else {
-                    &boc[s..s + lanes]
-                };
-                stack[dst..dst + lanes].copy_from_slice(src);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Rd1 { reg, clean } => {
-                let s = reg as usize * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W1);
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                grow!();
-                let dst = *sp * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], R1);
-                let out = &mut stack[dst..dst + lanes];
-                let ld0 = &log_d0[s..s + lanes];
-                if cfg.no_boc {
-                    out.copy_from_slice(ld0);
-                } else {
-                    // Branchless forwarding: a rule-log write-0 shadows the
-                    // cycle log, which shadows the beginning-of-cycle value.
-                    let lrw = &log_rw[s..s + lanes];
-                    let bo = &boc[s..s + lanes];
-                    if cfg.acc_logs {
-                        for (((o, &w), &d), &b) in
-                            out.iter_mut().zip(lrw).zip(ld0).zip(bo)
-                        {
-                            let m = lane_mask(w & W0 != 0);
-                            *o = (d & m) | (b & !m);
-                        }
-                    } else {
-                        let crw = &cyc_rw[s..s + lanes];
-                        let cd0 = &cyc_d0[s..s + lanes];
-                        for (((((o, &w), &d), &b), &cw), &cd) in out
-                            .iter_mut()
-                            .zip(lrw)
-                            .zip(ld0)
-                            .zip(bo)
-                            .zip(crw)
-                            .zip(cd0)
-                        {
-                            let m0 = lane_mask(w & W0 != 0);
-                            let m1 = lane_mask(cw & W0 != 0);
-                            *o = (d & m0) | (((cd & m1) | (b & !m1)) & !m0);
-                        }
-                    }
-                }
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Wr0 { reg, clean } => {
-                need!(1);
-                let s = reg as usize * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], R1 | W0 | W1)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], R1 | W0 | W1)
-                };
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                let vbase = (*sp - 1) * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], W0);
-                log_d0[s..s + lanes].copy_from_slice(&stack[vbase..vbase + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Wr1 { reg, clean } => {
-                need!(1);
-                let s = reg as usize * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], W1)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], W1)
-                };
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                let vbase = (*sp - 1) * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], W1);
-                let dst = if cfg.merged_data {
-                    &mut log_d0[s..s + lanes]
-                } else {
-                    &mut log_d1[s..s + lanes]
-                };
-                dst.copy_from_slice(&stack[vbase..vbase + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Rd0Fast { reg } | Insn::Rd1Fast { reg } => {
-                grow!();
-                let (src, dst) = (reg as usize * lanes, *sp * lanes);
-                stack[dst..dst + lanes].copy_from_slice(&log_d0[src..src + lanes]);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Wr0Fast { reg } | Insn::Wr1Fast { reg } => {
-                need!(1);
-                let (src, dst) = ((*sp - 1) * lanes, reg as usize * lanes);
-                log_d0[dst..dst + lanes].copy_from_slice(&stack[src..src + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Rd0Arr { base, mask, clean } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs { log_rw[i] } else { cyc_rw[i] };
-                    if check & (W0 | W1) == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                // Replace the index stripe with the value stripe in place.
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    if !cfg.design_specific {
-                        log_rw[i] |= R0;
-                    }
-                    stack[ibase + l] = if cfg.no_boc { log_d0[i] } else { boc[i] };
-                }
-                BatchFlow::Next
-            }
-            Insn::Rd1Arr { base, mask, clean } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs { log_rw[i] } else { cyc_rw[i] };
-                    if check & W1 == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= R1;
-                    stack[ibase + l] = if cfg.no_boc || log_rw[i] & W0 != 0 {
-                        log_d0[i]
-                    } else if !cfg.acc_logs && cyc_rw[i] & W0 != 0 {
-                        cyc_d0[i]
-                    } else {
-                        boc[i]
-                    };
-                }
-                BatchFlow::Next
-            }
-            Insn::Wr0Arr { base, mask, clean } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs {
-                        log_rw[i]
-                    } else {
-                        log_rw[i] | cyc_rw[i]
-                    };
-                    if check & (R1 | W0 | W1) == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= W0;
-                    log_d0[i] = stack[vbase + l];
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Wr1Arr { base, mask, clean } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs {
-                        log_rw[i]
-                    } else {
-                        log_rw[i] | cyc_rw[i]
-                    };
-                    if check & W1 == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= W1;
-                    if cfg.merged_data {
-                        log_d0[i] = stack[vbase + l];
-                    } else {
-                        log_d1[i] = stack[vbase + l];
-                    }
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Rd0ArrFast { base, mask } | Insn::Rd1ArrFast { base, mask } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    stack[ibase + l] = log_d0[r * lanes + l];
-                }
-                BatchFlow::Next
-            }
-            Insn::Wr0ArrFast { base, mask } | Insn::Wr1ArrFast { base, mask } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    log_d0[r * lanes + l] = stack[vbase + l];
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::BinRC { op, rhs, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::fused_map1(op, mask, rhs, &mut stack[base..base + lanes]);
-                BatchFlow::Next
-            }
-            Insn::BinRL { op, rhs_slot, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                let rbase = rhs_slot as usize * lanes;
-                simd::fused_zip2(
-                    op,
-                    mask,
-                    &mut stack[base..base + lanes],
-                    &locals[rbase..rbase + lanes],
-                );
-                BatchFlow::Next
-            }
-            Insn::BinLL {
-                op,
-                a_slot,
-                b_slot,
-                mask,
-            } => {
-                grow!();
-                let dst = *sp * lanes;
-                let (abase, bbase) = (a_slot as usize * lanes, b_slot as usize * lanes);
-                simd::fused_zip2_to(
-                    op,
-                    mask,
-                    &mut stack[dst..dst + lanes],
-                    &locals[abase..abase + lanes],
-                    &locals[bbase..bbase + lanes],
-                );
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::BinLC {
-                op,
-                a_slot,
-                rhs,
-                mask,
-            } => {
-                grow!();
-                let dst = *sp * lanes;
-                let abase = a_slot as usize * lanes;
-                simd::fused_map1_to(
-                    op,
-                    mask,
-                    rhs,
-                    &mut stack[dst..dst + lanes],
-                    &locals[abase..abase + lanes],
-                );
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::LdFast { reg, slot } => {
-                let (src, dst) = (reg as usize * lanes, slot as usize * lanes);
-                locals[dst..dst + lanes].copy_from_slice(&log_d0[src..src + lanes]);
-                BatchFlow::Next
-            }
-            Insn::StFast { reg, slot } => {
-                let (src, dst) = (slot as usize * lanes, reg as usize * lanes);
-                log_d0[dst..dst + lanes].copy_from_slice(&locals[src..src + lanes]);
-                BatchFlow::Next
-            }
-            Insn::SetLocalK { slot, imm } => {
-                let dst = slot as usize * lanes;
-                locals[dst..dst + lanes].fill(imm);
-                BatchFlow::Next
-            }
-            Insn::Jmp(t) => BatchFlow::Jump(t),
-            Insn::Jz(t) => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                let nz = simd::count_zero(&stack[base..base + lanes]);
-                *sp -= 1;
-                if nz == 0 {
-                    BatchFlow::Next
-                } else if nz == lanes {
-                    BatchFlow::Jump(t)
-                } else {
-                    BatchFlow::Diverge
-                }
-            }
-            Insn::Abort => {
-                last_fail.fill(Some(FailInfo {
-                    rule: rule_idx,
-                    pc,
-                    reg: None,
-                    cycle,
-                }));
-                BatchFlow::FailAll { clean: false }
-            }
-            Insn::AbortClean => {
-                last_fail.fill(Some(FailInfo {
-                    rule: rule_idx,
-                    pc,
-                    reg: None,
-                    cycle,
-                }));
-                BatchFlow::FailAll { clean: true }
-            }
-            Insn::Cov(id) => {
-                let base = id as usize * lanes;
-                for c in &mut cov[base..base + lanes] {
-                    *c += 1;
-                }
-                BatchFlow::Next
-            }
-            Insn::End => BatchFlow::Done,
-        }
-    }
-
     /// Lock-step executor for the register-form micro-op program: each
     /// micro-op is decoded once and applied across every lane, with the
-    /// same all-pass / all-fail / diverge protocol as the bytecode loop.
+    /// same all-pass / all-fail / diverge protocol as the native entry
+    /// points.
     ///
     /// Returns `Ok(Some(Ok(())))` on a batched commit, `Ok(Some(Err(clean)))`
     /// on a batched failure, and `Ok(None)` on divergence (the caller
     /// restores the rule-entry snapshot and falls back to the scalar
     /// bytecode executor, which is bit-identical to the micro-op form).
     #[allow(clippy::too_many_lines)]
-    fn run_uops_batch(
-        &mut self,
-        tac: &TacRule,
-        slots: &mut [u64],
-        rule_idx: usize,
-    ) -> Result<Option<Result<(), bool>>, VmError> {
+    fn run_uops_batch(&mut self, rule_idx: usize) -> Result<Option<Result<(), bool>>, VmError> {
         let cfg = self.prog.cfg;
         let cycle = self.cycles;
         let BatchSim {
             lanes,
-            stack,
+            tmp,
             boc,
             cyc_rw,
             log_rw,
@@ -1681,13 +1007,14 @@ impl BatchSim {
             log_d1,
             cov,
             last_fail,
+            last_fail_uniform,
+            tac,
+            slots,
             ..
         } = self;
         let lanes = *lanes;
-        // One scratch stripe for superinstruction intermediates.
-        if stack.len() < lanes {
-            stack.resize(lanes, 0);
-        }
+        let tac: &TacRule = &tac.rules[rule_idx];
+        let slots = &mut slots[rule_idx][..];
         let uops = &tac.uops;
         let mut pc = 0usize;
 
@@ -1696,22 +1023,41 @@ impl BatchSim {
                 slots[$s as usize * lanes + $l]
             };
         }
-        // All-lanes conflict failure on one register.
+        // All-lanes failure with one FailInfo for every lane: recorded
+        // once, as the lock-step uniform.
         macro_rules! fail_all {
             ($reg:expr, $clean:expr, $src_pc:expr) => {{
-                last_fail.fill(Some(FailInfo {
+                *last_fail_uniform = Some(FailInfo {
                     rule: rule_idx,
                     pc: $src_pc as usize,
                     reg: $reg,
                     cycle,
-                }));
+                });
+                return Ok(Some(Err($clean)));
+            }};
+        }
+        // All-lanes failure of an indexed access: each lane names the
+        // register its own index selected, so the record is per lane (and
+        // a pending uniform must not shadow it).
+        macro_rules! fail_all_indexed {
+            ($idx:expr, $base:expr, $amask:expr, $clean:expr) => {{
+                *last_fail_uniform = None;
+                for (l, lf) in last_fail.iter_mut().enumerate() {
+                    let r = $base as usize + (sl!($idx, l) & $amask as u64) as usize;
+                    *lf = Some(FailInfo {
+                        rule: rule_idx,
+                        pc: tac.pcs[pc] as usize,
+                        reg: Some(RegId(r as u32)),
+                        cycle,
+                    });
+                }
                 return Ok(Some(Err($clean)));
             }};
         }
         // Checked-access gates: count passing lanes with the bit-sliced
         // SWAR kernels (eight lanes per word over the rw-set byte plane),
-        // then fail-all / diverge / proceed — identical to the bytecode
-        // arms.
+        // then fail-all / diverge / proceed — the checks of the scalar
+        // VM's Rd0/Rd1/Wr0/Wr1.
         macro_rules! rd0_gate {
             ($r:expr, $clean:expr) => {{
                 let s = $r * lanes;
@@ -1978,16 +1324,7 @@ impl BatchSim {
                         npass += (chk[r * lanes + l] & (W0 | W1) == 0) as usize;
                     }
                     if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
+                        fail_all_indexed!(idx, base, amask, clean);
                     }
                     if npass < lanes {
                         return Ok(None);
@@ -2005,16 +1342,7 @@ impl BatchSim {
                         npass += (chk[r * lanes + l] & W1 == 0) as usize;
                     }
                     if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
+                        fail_all_indexed!(idx, base, amask, clean);
                     }
                     if npass < lanes {
                         return Ok(None);
@@ -2034,16 +1362,7 @@ impl BatchSim {
                         npass += (check & (R1 | W0 | W1) == 0) as usize;
                     }
                     if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
+                        fail_all_indexed!(idx, base, amask, clean);
                     }
                     if npass < lanes {
                         return Ok(None);
@@ -2065,16 +1384,7 @@ impl BatchSim {
                         npass += (check & W1 == 0) as usize;
                     }
                     if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
+                        fail_all_indexed!(idx, base, amask, clean);
                     }
                     if npass < lanes {
                         return Ok(None);
@@ -2187,7 +1497,7 @@ impl BatchSim {
                         simd::fused_zip2_to(
                             op,
                             mask,
-                            &mut stack[..lanes],
+                            tmp,
                             vals,
                             &slots[b as usize * lanes..][..lanes],
                         );
@@ -2196,7 +1506,7 @@ impl BatchSim {
                     wr0_gate!(w, wclean, tac.pcs2[pc]);
                     let d = w * lanes;
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
-                    log_d0[d..d + lanes].copy_from_slice(&stack[..lanes]);
+                    log_d0[d..d + lanes].copy_from_slice(tmp);
                 }
                 Uop::BinJz { op, a, b, mask, target } => {
                     let nz = simd::fused_count_zero_at(

@@ -50,7 +50,7 @@ pub mod level;
 pub mod native;
 pub mod pretty;
 pub mod profile;
-pub mod simd;
+mod simd;
 pub mod tac;
 pub mod trace;
 pub mod vm;

@@ -50,7 +50,8 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::compile::{CopyPlan, Program, RuleCode};
 use crate::insn::FusedBin;
@@ -1789,41 +1790,61 @@ pub fn cache_path_for(prog: &Program) -> Result<PathBuf, NativeError> {
     Ok(cache_dir().join(format!("{}.so", artifact_stem(prog, key))))
 }
 
-fn engine_cache() -> &'static Mutex<HashMap<u64, Arc<NativeEngine>>> {
-    static C: OnceLock<Mutex<HashMap<u64, Arc<NativeEngine>>>> = OnceLock::new();
+/// One slot per cache key. The first caller to lock a slot builds into it;
+/// callers for the same key wait on the slot's lock and share the result.
+type EngineSlot = Arc<Mutex<Option<Arc<NativeEngine>>>>;
+
+fn engine_cache() -> &'static Mutex<HashMap<u64, EngineSlot>> {
+    static C: OnceLock<Mutex<HashMap<u64, EngineSlot>>> = OnceLock::new();
     C.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Emits, builds (or reuses from cache), loads, and resolves the native
 /// engine for `prog` (scalar entry points only).
 pub(crate) fn build_engine(prog: &Program) -> Result<Arc<NativeEngine>, NativeError> {
-    build_engine_inner(prog, None)
+    build_engine_in(&cache_dir(), prog, &TacProgram::lower(prog), None)
 }
 
 /// Like [`build_engine`], but the generated crate additionally carries the
-/// batched lock-step entry points specialized to exactly `lanes` lanes.
+/// batched lock-step entry points specialized to exactly `lanes` lanes,
+/// emitted from `tac` (the caller's lowering of `prog`).
 /// The lane count is part of the emitted source and therefore of the cache
 /// key, so every batch width gets (and reuses) its own cdylib; the scalar
 /// entry points inside it are identical to [`build_engine`]'s, which is
 /// what the divergence fallback runs.
 pub(crate) fn build_engine_batched(
     prog: &Program,
+    tac: &TacProgram,
     lanes: usize,
 ) -> Result<Arc<NativeEngine>, NativeError> {
-    build_engine_inner(prog, Some(lanes))
+    build_engine_in(&cache_dir(), prog, tac, Some(lanes))
 }
 
-fn build_engine_inner(
+/// Builds or reuses the engine for `prog`, with `dir` as the on-disk cache.
+/// Single-flight per key within the process: one caller runs `rustc` and
+/// loads the library, concurrent callers for the same key block on the
+/// key's slot and share its `Arc`. A failed build leaves the slot empty, so
+/// the next caller retries.
+fn build_engine_in(
+    dir: &Path,
     prog: &Program,
+    tac: &TacProgram,
     batch_lanes: Option<usize>,
 ) -> Result<Arc<NativeEngine>, NativeError> {
-    let tac = TacProgram::lower(prog);
-    let emitted = emit_source(prog, &tac, batch_lanes)?;
+    let emitted = emit_source(prog, tac, batch_lanes)?;
     let key = cache_key(prog, &emitted.source);
-    if let Some(e) = engine_cache().lock().unwrap().get(&key) {
+    let slot = Arc::clone(
+        engine_cache()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default(),
+    );
+    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(e) = slot.as_ref() {
         return Ok(Arc::clone(e));
     }
-    let so_path = ensure_built(prog, &emitted.source, key)?;
+    let so_path = ensure_built(dir, prog, &emitted.source, key)?;
     let engine = Arc::new(load_engine(
         &so_path,
         prog.rules.len(),
@@ -1831,18 +1852,19 @@ fn build_engine_inner(
         emitted.has_cycle_fn,
         batch_lanes.is_some(),
     )?);
-    engine_cache()
-        .lock()
-        .unwrap()
-        .insert(key, Arc::clone(&engine));
+    *slot = Some(Arc::clone(&engine));
     Ok(engine)
 }
 
-/// Ensures the cdylib for `source` exists in the on-disk cache, invoking
-/// `rustc` only on a miss. Concurrent builders race benignly: each writes
-/// to a pid-suffixed temporary and renames into place.
-fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, NativeError> {
-    let dir = cache_dir();
+/// Ensures the cdylib for `source` exists in the on-disk cache under `dir`,
+/// invoking `rustc` only on a miss. Every build works on temporaries named
+/// by process, thread and a per-process counter — `rustc` derives its
+/// intermediate object names from the output stem, so two builds must
+/// never share one — and publishes with an atomic rename. Builders in
+/// different processes may still build the same key at once; each rename
+/// installs a complete file with the same content, so the race is benign.
+fn ensure_built(dir: &Path, prog: &Program, source: &str, key: u64) -> Result<PathBuf, NativeError> {
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
     let stem = artifact_stem(prog, key);
     let so_path = dir.join(format!("{stem}.so"));
     if so_path.exists() {
@@ -1854,12 +1876,28 @@ fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, Nativ
             rustc_cmd()
         )));
     }
-    std::fs::create_dir_all(&dir)
+    std::fs::create_dir_all(dir)
         .map_err(|e| NativeError::Build(format!("cannot create cache dir {dir:?}: {e}")))?;
+    let thread: String = format!("{:?}", std::thread::current().id())
+        .chars()
+        .filter(char::is_ascii_digit)
+        .collect();
+    let tmp_stem = format!(
+        "{stem}.{}-{thread}-{}.tmp",
+        std::process::id(),
+        BUILDS.fetch_add(1, Ordering::Relaxed)
+    );
+    // The source is published before the build (the same key always has
+    // the same source), so a failing build leaves it in place to inspect.
+    let tmp_rs = dir.join(format!("{tmp_stem}.rs"));
     let rs_path = dir.join(format!("{stem}.rs"));
-    std::fs::write(&rs_path, source)
-        .map_err(|e| NativeError::Build(format!("cannot write {rs_path:?}: {e}")))?;
-    let tmp = dir.join(format!("{stem}.{}.tmp.so", std::process::id()));
+    std::fs::write(&tmp_rs, source)
+        .and_then(|()| std::fs::rename(&tmp_rs, &rs_path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp_rs);
+            NativeError::Build(format!("cannot write {rs_path:?}: {e}"))
+        })?;
+    let tmp_so = dir.join(format!("{tmp_stem}.so"));
     let output = std::process::Command::new(rustc_cmd())
         .args([
             "--edition",
@@ -1874,21 +1912,27 @@ fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, Nativ
             "panic=abort",
             "-C",
             "debuginfo=0",
+            // The emitted code is machine-written; its lints (mostly
+            // `unused_braces` from relooper blocks) would bury a real error.
+            "-A",
+            "warnings",
             "-o",
         ])
-        .arg(&tmp)
+        .arg(&tmp_so)
         .arg(&rs_path)
         .output()
         .map_err(|e| NativeError::Build(format!("cannot run {}: {e}", rustc_cmd())))?;
     if !output.status.success() {
-        let _ = std::fs::remove_file(&tmp);
+        let _ = std::fs::remove_file(&tmp_so);
         return Err(NativeError::Build(format!(
             "rustc failed on {rs_path:?}:\n{}",
             String::from_utf8_lossy(&output.stderr)
         )));
     }
-    std::fs::rename(&tmp, &so_path)
-        .map_err(|e| NativeError::Build(format!("cannot publish {so_path:?}: {e}")))?;
+    std::fs::rename(&tmp_so, &so_path).map_err(|e| {
+        let _ = std::fs::remove_file(&tmp_so);
+        NativeError::Build(format!("cannot publish {so_path:?}: {e}"))
+    })?;
     Ok(so_path)
 }
 
@@ -2340,6 +2384,105 @@ mod tests {
         assert!(Arc::ptr_eq(&e1, &e2), "identical compilations must share one engine");
         assert!(e1.so_path().exists());
         assert!(e1.has_cycle_fn());
+    }
+
+    /// A fresh, empty cache directory for one test round.
+    fn cold_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("koika-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A design whose cache key no other test builds, so every round of a
+    /// race test starts cold in-process as well as on disk.
+    fn race_design(name: &str) -> koika::tir::TDesign {
+        let mut b = DesignBuilder::new(name);
+        b.reg("n", 8, 0u64);
+        b.rule("inc", vec![wr0("n", rd0("n").add(k(8, 1)))]);
+        check(&b.build()).unwrap()
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn threads_building_one_key_share_one_engine() {
+        if !available("threads_building_one_key_share_one_engine") {
+            return;
+        }
+        for round in 0..3 {
+            let name = format!("native-race-{round}");
+            let dir = cold_dir(&name);
+            let prog = compile(&race_design(&name), &CompileOptions::default()).unwrap();
+            let tac = TacProgram::lower(&prog);
+            let engines: Vec<Arc<NativeEngine>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| s.spawn(|| build_engine_in(&dir, &prog, &tac, Some(4))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap().unwrap_or_else(|e| panic!("round {round}: {e}")))
+                    .collect()
+            });
+            assert!(
+                engines.iter().all(|e| Arc::ptr_eq(e, &engines[0])),
+                "round {round}: one build per key, shared by every waiter"
+            );
+            let stem = engines[0].so_path().file_stem().unwrap().to_string_lossy().into_owned();
+            assert_eq!(
+                dir_entries(&dir),
+                [format!("{stem}.rs"), format!("{stem}.so")],
+                "round {round}: only the published artifacts remain"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn independent_builders_of_one_key_race_benignly() {
+        if !available("independent_builders_of_one_key_race_benignly") {
+            return;
+        }
+        // Builders that bypass the in-process single flight — as builders
+        // in separate processes do — each run rustc on their own
+        // temporaries and publish identical files.
+        let name = "native-file-race";
+        let dir = cold_dir(name);
+        let prog = compile(&race_design(name), &CompileOptions::default()).unwrap();
+        let emitted = emit_source(&prog, &TacProgram::lower(&prog), None).unwrap();
+        let key = cache_key(&prog, &emitted.source);
+        let paths: Vec<PathBuf> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| ensure_built(&dir, &prog, &emitted.source, key)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+        });
+        assert!(paths.iter().all(|p| p == &paths[0]));
+        let stem = artifact_stem(&prog, key);
+        assert_eq!(dir_entries(&dir), [format!("{stem}.rs"), format!("{stem}.so")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn build_errors_carry_no_lint_noise() {
+        if !available("build_errors_carry_no_lint_noise") {
+            return;
+        }
+        let prog = compile(&race_design("native-broken"), &CompileOptions::default()).unwrap();
+        let dir = cold_dir("native-broken");
+        let source = "fn f() -> u8 { ((1)) }\nfn g() -> u8 { \"\" }\n";
+        let Err(NativeError::Build(msg)) = ensure_built(&dir, &prog, source, 1) else {
+            panic!("a type error must fail the build");
+        };
+        assert!(msg.contains("mismatched types"), "{msg}");
+        assert!(!msg.contains("warning"), "lints must not reach the error:\n{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -51,52 +51,6 @@ pub fn shr64(a: u64, b: u64) -> u64 {
     (a >> (b & 63)) & lane_mask(b < 64)
 }
 
-/// In-place unary map over a stripe: `dst[l] = f(dst[l])`.
-#[inline(always)]
-pub fn map1(dst: &mut [u64], f: impl Fn(u64) -> u64 + Copy) {
-    let mut chunks = dst.chunks_exact_mut(CHUNK);
-    for c in &mut chunks {
-        for x in c {
-            *x = f(*x);
-        }
-    }
-    for x in chunks.into_remainder() {
-        *x = f(*x);
-    }
-}
-
-/// Unary map into a separate stripe: `dst[l] = f(src[l])`.
-#[inline(always)]
-pub fn map1_to(dst: &mut [u64], src: &[u64], f: impl Fn(u64) -> u64 + Copy) {
-    assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for i in 0..CHUNK {
-            dc[i] = f(sc[i]);
-        }
-    }
-    for (x, &y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *x = f(y);
-    }
-}
-
-/// In-place binary map: `dst[l] = f(dst[l], src[l])`.
-#[inline(always)]
-pub fn zip2(dst: &mut [u64], src: &[u64], f: impl Fn(u64, u64) -> u64 + Copy) {
-    assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for i in 0..CHUNK {
-            dc[i] = f(dc[i], sc[i]);
-        }
-    }
-    for (x, &y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *x = f(*x, y);
-    }
-}
-
 /// Binary map into a separate stripe: `dst[l] = f(a[l], b[l])`.
 #[inline(always)]
 pub fn zip2_to(dst: &mut [u64], a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64 + Copy) {
@@ -117,31 +71,6 @@ pub fn zip2_to(dst: &mut [u64], a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u6
         .zip(bc.remainder())
     {
         *x = f(y, z);
-    }
-}
-
-/// Branchless select: `c[l] = if c[l] != 0 { t[l] } else { f[l] }`.
-#[inline(always)]
-pub fn select(c: &mut [u64], t: &[u64], f: &[u64]) {
-    assert_eq!(c.len(), t.len());
-    assert_eq!(c.len(), f.len());
-    let mut cc = c.chunks_exact_mut(CHUNK);
-    let mut tc = t.chunks_exact(CHUNK);
-    let mut fc = f.chunks_exact(CHUNK);
-    for ((cv, tv), fv) in (&mut cc).zip(&mut tc).zip(&mut fc) {
-        for i in 0..CHUNK {
-            let m = lane_mask(cv[i] != 0);
-            cv[i] = (tv[i] & m) | (fv[i] & !m);
-        }
-    }
-    for ((x, &y), &z) in cc
-        .into_remainder()
-        .iter_mut()
-        .zip(tc.remainder())
-        .zip(fc.remainder())
-    {
-        let m = lane_mask(*x != 0);
-        *x = (y & m) | (z & !m);
     }
 }
 
@@ -213,89 +142,6 @@ pub fn or_bytes(rw: &mut [u8], bit: u8) {
     for b in rw {
         *b |= bit;
     }
-}
-
-/// Arithmetic shift right at `width`: `dst[l] = word::sra(width, dst[l],
-/// sh[l])`, with the width-dependent work hoisted out of the lane loop.
-#[inline(always)]
-pub fn sra_zip2(dst: &mut [u64], sh: &[u64], width: u32) {
-    if width == 0 {
-        dst.fill(0);
-        return;
-    }
-    let inv = 64 - width.min(64);
-    let maxsh = u64::from(width - 1);
-    let mask = u64::MAX >> (64 - width.min(64));
-    zip2(dst, sh, move |a, s| {
-        let s = s.min(maxsh) as u32;
-        (((((a << inv) as i64) >> inv) >> s) as u64) & mask
-    });
-}
-
-/// Signed less-than at `width`: `dst[l] = word::slt(width, dst[l], b[l])`.
-#[inline(always)]
-pub fn slt_zip2(dst: &mut [u64], b: &[u64], width: u32) {
-    if width == 0 {
-        dst.fill(0);
-        return;
-    }
-    let inv = 64 - width.min(64);
-    zip2(dst, b, move |a, b| {
-        (((a << inv) as i64) < ((b << inv) as i64)) as u64
-    });
-}
-
-/// Signed less-or-equal at `width`: `dst[l] = 1 - word::slt(width, b[l],
-/// dst[l])`.
-#[inline(always)]
-pub fn sle_zip2(dst: &mut [u64], b: &[u64], width: u32) {
-    if width == 0 {
-        dst.fill(1);
-        return;
-    }
-    let inv = 64 - width.min(64);
-    zip2(dst, b, move |a, b| {
-        (((b << inv) as i64) >= ((a << inv) as i64)) as u64
-    });
-}
-
-/// Concatenation `{dst, b}` with `b` the `low`-bit low half, masked:
-/// `dst[l] = word::concat(low, dst[l], b[l]) & mask`.
-#[inline(always)]
-pub fn concat_zip2(dst: &mut [u64], b: &[u64], low: u32, mask: u64) {
-    let hi_keep = lane_mask(low < 64);
-    let sh = low.min(63);
-    zip2(dst, b, move |a, b| (((a << sh) & hi_keep) | b) & mask);
-}
-
-/// Sign-extension from `from` bits, masked: `dst[l] = word::sext(from,
-/// dst[l]) & mask` with the width cases hoisted.
-#[inline(always)]
-pub fn sext_map1(dst: &mut [u64], from: u32, mask: u64) {
-    if from == 0 {
-        dst.fill(0);
-    } else if from >= 64 {
-        map1(dst, move |a| a & mask);
-    } else {
-        let sh = 64 - from;
-        map1(dst, move |a| ((((a << sh) as i64) >> sh) as u64) & mask);
-    }
-}
-
-/// `dst[l] = sext(from, (dst[l] >> lo) & mask(from)) & mask` — the fused
-/// slice-then-sign-extend kernel.
-#[inline(always)]
-pub fn slice_sext_map1(dst: &mut [u64], lo: u32, from: u32, mask: u64) {
-    if from == 0 {
-        dst.fill(0);
-        return;
-    }
-    let from_mask = u64::MAX >> (64 - from.min(64));
-    let sh = 64 - from.min(64);
-    map1(dst, move |a| {
-        let v = (a >> lo) & from_mask;
-        ((((v << sh) as i64) >> sh) as u64) & mask
-    });
 }
 
 /// In-place unary map over an indexed stripe of one buffer:
@@ -446,24 +292,6 @@ macro_rules! with_fused {
     }};
 }
 
-/// `dst[l] = fused(op, dst[l], rhs, mask)` with the operator hoisted.
-#[inline(always)]
-pub fn fused_map1(op: FusedBin, mask: u64, rhs: u64, dst: &mut [u64]) {
-    with_fused!(op, mask, |f| map1(dst, move |a| f(a, rhs)));
-}
-
-/// `dst[l] = fused(op, a[l], rhs, mask)`.
-#[inline(always)]
-pub fn fused_map1_to(op: FusedBin, mask: u64, rhs: u64, dst: &mut [u64], a: &[u64]) {
-    with_fused!(op, mask, |f| map1_to(dst, a, move |x| f(x, rhs)));
-}
-
-/// `dst[l] = fused(op, dst[l], b[l], mask)`.
-#[inline(always)]
-pub fn fused_zip2(op: FusedBin, mask: u64, dst: &mut [u64], b: &[u64]) {
-    with_fused!(op, mask, |f| zip2(dst, b, f));
-}
-
 /// `dst[l] = fused(op, a[l], b[l], mask)`.
 #[inline(always)]
 pub fn fused_zip2_to(op: FusedBin, mask: u64, dst: &mut [u64], a: &[u64], b: &[u64]) {
@@ -530,62 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn sra_slt_sle_match_word_helpers() {
-        let vals = [0u64, 1, 2, 0x7fff, 0x8000, u64::MAX >> 1, u64::MAX];
-        let shifts = [0u64, 1, 15, 16, 62, 63, 64, 100];
-        for width in [1u32, 2, 15, 16, 63, 64] {
-            let m = word::mask(width);
-            let a: Vec<u64> = vals.iter().map(|v| v & m).collect();
-            for &s in &shifts {
-                let mut dst = a.clone();
-                sra_zip2(&mut dst, &vec![s; a.len()], width);
-                for (i, &v) in a.iter().enumerate() {
-                    assert_eq!(dst[i], word::sra(width, v, s), "sra w={width} v={v:#x} s={s}");
-                }
-            }
-            for &bv in &vals {
-                let b = vec![bv & m; a.len()];
-                let mut slt = a.clone();
-                slt_zip2(&mut slt, &b, width);
-                let mut sle = a.clone();
-                sle_zip2(&mut sle, &b, width);
-                for (i, &v) in a.iter().enumerate() {
-                    assert_eq!(slt[i], word::slt(width, v, b[i]), "slt w={width}");
-                    assert_eq!(sle[i], 1 - word::slt(width, b[i], v), "sle w={width}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn concat_and_sext_match_word_helpers() {
-        let vals = [0u64, 1, 0xAAAA, u64::MAX];
-        for low in [0u32, 1, 31, 63, 64] {
-            for w in [1u32, 33, 64] {
-                let mask = word::mask(w);
-                for &a in &vals {
-                    let b = vals;
-                    let mut dst = vec![a; b.len()];
-                    concat_zip2(&mut dst, &b, low, mask);
-                    for (i, &bb) in b.iter().enumerate() {
-                        assert_eq!(dst[i], word::concat(low, a, bb) & mask, "low={low} w={w}");
-                    }
-                }
-            }
-        }
-        for from in [0u32, 1, 17, 63, 64] {
-            for w in [1u32, 33, 64] {
-                let mask = word::mask(w);
-                let mut dst = vals.to_vec();
-                sext_map1(&mut dst, from, mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    assert_eq!(dst[i], word::sext(from, v) & mask, "from={from} w={w}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gates_count_exactly_at_every_length() {
         // Sweep lengths through and past the 8-lane word boundary so both
         // the SWAR body and the scalar tail are exercised; compare against
@@ -603,18 +375,6 @@ mod tests {
                     .count();
                 assert_eq!(count_clear2(&rw, &rw2, bits), want2, "len={len} bits={bits:#x}");
             }
-        }
-    }
-
-    #[test]
-    fn select_is_branchless_and_exact() {
-        let c0: Vec<u64> = (0..13).map(|i| (i % 3 == 0) as u64 * (i + 1)).collect();
-        let t: Vec<u64> = (0..13).map(|i| 100 + i).collect();
-        let f: Vec<u64> = (0..13).map(|i| 200 + i).collect();
-        let mut c = c0.clone();
-        select(&mut c, &t, &f);
-        for i in 0..13 {
-            assert_eq!(c[i], if c0[i] != 0 { t[i] } else { f[i] });
         }
     }
 
@@ -658,10 +418,6 @@ mod tests {
                     .collect();
                 let am: Vec<u64> = a.iter().map(|&x| x & mask).collect();
 
-                let mut dst = am.clone();
-                fused_zip2(op, mask, &mut dst, &b);
-                assert_eq!(dst, want, "zip2 {op:?} w={width}");
-
                 let mut dst = vec![0; am.len()];
                 fused_zip2_to(op, mask, &mut dst, &am, &b);
                 assert_eq!(dst, want, "zip2_to {op:?} w={width}");
@@ -680,20 +436,6 @@ mod tests {
                     want.iter().filter(|&&w| w == 0).count(),
                     "count_zero_at {op:?} w={width}"
                 );
-
-                // Constant-rhs forms, one rhs at a time.
-                for (i, &rhs) in b.iter().enumerate() {
-                    let mut dst = am.clone();
-                    fused_map1(op, mask, rhs, &mut dst);
-                    let w: Vec<u64> = am
-                        .iter()
-                        .map(|&x| crate::vm::fused(op, x, rhs, mask))
-                        .collect();
-                    assert_eq!(dst, w, "map1 {op:?} w={width} rhs#{i}");
-                    let mut dst = vec![0; n];
-                    fused_map1_to(op, mask, rhs, &mut dst, &am);
-                    assert_eq!(dst, w, "map1_to {op:?} w={width} rhs#{i}");
-                }
             }
         }
     }

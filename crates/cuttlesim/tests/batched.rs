@@ -234,6 +234,24 @@ fn mixed_guard_failures() {
     assert_all_levels_native(&td, 5, 48, 0xBEEF);
 }
 
+/// Every lane fails every cycle twice in lock-step: first a plain abort
+/// (one `FailInfo` for all lanes), then a write to an array element each
+/// lane indexes differently (a per-lane failing register). The most
+/// recent failure, the indexed one, must win in every lane.
+#[test]
+fn uniform_then_indexed_failures() {
+    let mut b = DesignBuilder::new("indexed_failures");
+    b.array("arr", 8, 4, 0u64);
+    b.reg("i", 2, 0u64);
+    b.rule("quit", vec![abort()]);
+    b.rule("late", vec![wr1a("arr", rd0("i"), k(8, 1))]);
+    b.rule("early", vec![wr0a("arr", rd0("i"), k(8, 2))]);
+    b.schedule(["quit", "late", "early"]);
+    let td = check(&b.build()).expect("well-typed");
+    assert_all_levels(&td, 4, 8, 0x1DE5);
+    assert_all_levels_native(&td, 4, 8, 0x1DE5);
+}
+
 /// Identical lanes must stay in pure lock-step and still match scalar,
 /// under every dispatch including the compiled batch kernels.
 #[test]
